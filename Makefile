@@ -18,10 +18,11 @@ GO ?= go
 # patch-install path — the small benchmark run checks Snapshot.Patch
 # speed and bit-identity, and the incremental chaos smoke replays served
 # answers against the exact generation their epoch claims while installs
-# trickle; cover ratchets combined internal/core + internal/engine
+# trickle; wire-smoke fuzzes the /v1/plan codec against encoding/json;
+# cover ratchets combined internal/core + internal/engine
 # statement coverage against the committed coverage_baseline.json.
 .PHONY: ci
-ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke cover
+ci: fmt-check vet lint race build wire-smoke serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke cover
 
 .PHONY: build
 build:
@@ -71,6 +72,14 @@ consolidation-bench:
 .PHONY: serving-bench
 serving-bench:
 	$(GO) run ./cmd/paperbench -serving-bench BENCH_serving.json
+
+# wire-smoke fuzzes the /v1/plan wire codec for a few seconds: the
+# append encoder and the reflection-free PlanResult decoder must agree
+# with encoding/json byte for byte and bit for bit, starting from the
+# committed seed corpus under internal/roomapi/testdata/fuzz.
+.PHONY: wire-smoke
+wire-smoke:
+	$(GO) test ./internal/roomapi -run '^$$' -fuzz FuzzPlanResultWire -fuzztime 5s
 
 # serving-smoke exercises the serving benchmark end-to-end at a small
 # size so ci catches regressions without paying for the 4096 run.

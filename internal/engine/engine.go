@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -114,30 +114,49 @@ func (r Request) normalize() Request {
 	return r
 }
 
-// key is the cache / single-flight identity of a normalized request under
-// one snapshot epoch. By default the load is quantized to 0.1 % of the
-// pool capacity so near-identical requests coalesce onto hot cache
+// cacheKey is the cache / single-flight identity of a normalized request
+// under one snapshot epoch. By default the load is quantized to 0.1 % of
+// the pool capacity so near-identical requests coalesce onto hot cache
 // entries: the first request in a bucket computes with its exact load and
 // its answer serves the whole bucket (an error of at most one bucket of
-// capacity). With exact keys (WithExactCacheKeys) floats are keyed by
-// their bit patterns — the cache then distinguishes loads that differ in
-// the last ulp, which bit-exactness tests rely on. All other float fields
-// are always keyed bit-exact.
-func (r Request) key(epoch uint64, machines int, exact bool) string {
-	var sb strings.Builder
+// capacity). With exact keys (WithExactCacheKeys) the load is keyed by
+// its bit pattern — the cache then distinguishes loads that differ in the
+// last ulp, which bit-exactness tests rely on. All other float fields are
+// always keyed bit-exact. The key is a comparable struct, so a hit builds
+// it without allocating; only a non-empty avoid list is encoded, into
+// the avoid string.
+type cacheKey struct {
+	epoch          uint64
+	method         baseline.Method
+	mode           PlanMode
+	load           int64 // quantized bucket, or the load's bits with exact keys
+	safe           bool
+	supply, margin uint64 // AchievedSupplyC and MarginC bit patterns
+	avoid          string // sorted avoid IDs, comma-separated; "" when none
+}
+
+// key builds the cacheKey of a normalized request.
+func (r Request) key(epoch uint64, machines int, exact bool) cacheKey {
+	k := cacheKey{
+		epoch: epoch, method: r.Method, mode: r.Mode, safe: r.Safe,
+		supply: math.Float64bits(r.AchievedSupplyC), margin: math.Float64bits(r.MarginC),
+	}
 	if exact {
-		fmt.Fprintf(&sb, "%d|%d|%d|x%x|%t|%x|%x", epoch, int(r.Method), int(r.Mode),
-			math.Float64bits(r.Load), r.Safe,
-			math.Float64bits(r.AchievedSupplyC), math.Float64bits(r.MarginC))
+		k.load = int64(math.Float64bits(r.Load))
 	} else {
-		fmt.Fprintf(&sb, "%d|%d|%d|q%d|%t|%x|%x", epoch, int(r.Method), int(r.Mode),
-			quantizeLoad(r.Load, machines), r.Safe,
-			math.Float64bits(r.AchievedSupplyC), math.Float64bits(r.MarginC))
+		k.load = quantizeLoad(r.Load, machines)
 	}
-	for _, i := range r.Avoid {
-		fmt.Fprintf(&sb, "|%d", i)
+	if len(r.Avoid) > 0 {
+		buf := make([]byte, 0, 6*len(r.Avoid))
+		for j, i := range r.Avoid {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(i), 10)
+		}
+		k.avoid = string(buf)
 	}
-	return sb.String()
+	return k
 }
 
 // quantizeLoad buckets a load to 0.1 % of the pool capacity (machines ×
@@ -180,6 +199,39 @@ type Response struct {
 	// it was coalesced onto a concurrent identical query.
 	Cached bool
 	Shared bool
+	// Memo is the plan's memo slot (see Memo); nil on responses built
+	// outside the engine.
+	Memo *Memo
+}
+
+// Memo is an opaque slot a serving layer may fill once with a derived
+// form of one computed plan — roomapi keeps the plan's encoded wire
+// fragment there, so a cached answer is encoded once instead of on
+// every hit. compute creates one per computed Response; Plan copies
+// Response by value, so every cache hit and coalesced copy of the answer
+// shares it, and it is dropped with its cache entry when an install
+// publishes a new generation. The engine never reads it.
+type Memo struct{ b atomic.Pointer[[]byte] }
+
+// Load returns the memoized bytes, or nil if nothing is stored yet or m
+// is nil. Callers must not modify the result.
+func (m *Memo) Load() []byte {
+	if m == nil {
+		return nil
+	}
+	if p := m.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store memoizes b unless a value is already stored (concurrent first
+// fillers derive identical bytes, so the first one wins). A nil m
+// ignores the store. The caller must not modify b afterwards.
+func (m *Memo) Store(b []byte) {
+	if m != nil {
+		m.b.CompareAndSwap(nil, &b)
+	}
 }
 
 // Stats is a point-in-time view of the engine's cache and topology,
@@ -260,7 +312,7 @@ type flight struct {
 
 // cacheEntry is one LRU cache slot.
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	resp *Response
 }
 
@@ -282,9 +334,9 @@ type Engine struct {
 	patchMu sync.Mutex
 
 	mu       sync.Mutex
-	cache    map[string]*list.Element
+	cache    map[cacheKey]*list.Element
 	lru      *list.List // front = most recently used
-	inflight map[string]*flight
+	inflight map[cacheKey]*flight
 
 	hits, misses, evictions, shared uint64
 	shedOverload                    uint64
@@ -327,9 +379,9 @@ func New(pl *baseline.Planner, opts ...Option) *Engine {
 
 func newEngine(opts []Option) *Engine {
 	e := &Engine{
-		cache:    make(map[string]*list.Element),
+		cache:    make(map[cacheKey]*list.Element),
 		lru:      list.New(),
-		inflight: make(map[string]*flight),
+		inflight: make(map[cacheKey]*flight),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -434,7 +486,7 @@ func (e *Engine) publish(st *state) {
 // publishLocked is publish with e.mu already held.
 func (e *Engine) publishLocked(st *state) {
 	e.state.Store(st)
-	e.cache = make(map[string]*list.Element)
+	e.cache = make(map[cacheKey]*list.Element)
 	e.lru.Init()
 	e.installs++
 }
@@ -588,7 +640,7 @@ func (e *Engine) Plan(ctx context.Context, req Request) (*Response, error) {
 }
 
 // store inserts into the bounded LRU cache; the caller holds e.mu.
-func (e *Engine) store(key string, resp *Response) {
+func (e *Engine) store(key cacheKey, resp *Response) {
 	if el, ok := e.cache[key]; ok {
 		e.lru.MoveToFront(el)
 		return
@@ -616,7 +668,7 @@ func (e *Engine) compute(ctx context.Context, st *state, req Request) (*Response
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	resp := &Response{Method: req.Method, Epoch: st.epoch}
+	resp := &Response{Method: req.Method, Epoch: st.epoch, Memo: new(Memo)}
 	switch {
 	case req.Safe:
 		if err := e.safePlan(st, req, resp); err != nil {

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -30,7 +32,7 @@ func testProfile(n int) *core.Profile {
 	}
 }
 
-func testSnapshot(t *testing.T, n int, epoch uint64) *core.Snapshot {
+func testSnapshot(t testing.TB, n int, epoch uint64) *core.Snapshot {
 	t.Helper()
 	snap, err := core.NewSnapshot(testProfile(n), epoch, core.WithMaxMachines(n))
 	if err != nil {
@@ -39,7 +41,7 @@ func testSnapshot(t *testing.T, n int, epoch uint64) *core.Snapshot {
 	return snap
 }
 
-func testEngine(t *testing.T, n int) *Engine {
+func testEngine(t testing.TB, n int) *Engine {
 	t.Helper()
 	e, err := FromSnapshot(testSnapshot(t, n, 0))
 	if err != nil {
@@ -228,6 +230,22 @@ func TestMaxLoadAndConsolidate(t *testing.T) {
 	}
 }
 
+// planDuringInstalls is Plan for workers racing installs. An install
+// holds the BeginInstall gate while it builds its state, and a cache
+// miss arriving then is shed with ErrOverloaded (DESIGN.md §8) — the
+// documented contract, not a failure. Those sheds are retried, a bounded
+// number of times; any other error is returned at once.
+func planDuringInstalls(ctx context.Context, e *Engine, req Request) (*Response, error) {
+	const maxShedRetries = 100000
+	for try := 0; ; try++ {
+		resp, err := e.Plan(ctx, req)
+		if err == nil || !errors.Is(err, ErrOverloaded) || try == maxShedRetries {
+			return resp, err
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestConcurrentPlanDuringInstall is the race check the serving layer is
 // built around: many goroutines hammer Plan while the main goroutine
 // keeps installing fresh snapshots with increasing epochs. Run with
@@ -262,7 +280,7 @@ func TestConcurrentPlanDuringInstall(t *testing.T) {
 					req.AchievedSupplyC = 20
 					req.MarginC = 2
 				}
-				resp, err := e.Plan(ctx, req)
+				resp, err := planDuringInstalls(ctx, e, req)
 				if err != nil {
 					errs <- err
 					return
@@ -561,7 +579,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 				case 2:
 					req.Avoid = []int{w % n}
 				}
-				resp, err := e.Plan(ctx, req)
+				resp, err := planDuringInstalls(ctx, e, req)
 				if err != nil {
 					errs <- err
 					return

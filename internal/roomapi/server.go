@@ -338,7 +338,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writePlanError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PlanResult{
+	writePlan(w, &PlanResult{
 		Epoch:        resp.Epoch,
 		Method:       int(resp.Method),
 		On:           resp.Plan.On,
@@ -350,7 +350,28 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Cached:       resp.Cached,
 		Shared:       resp.Shared,
 		Hierarchical: resp.Hierarchical,
-	})
+	}, resp.Memo)
+}
+
+// planBufs recycles /v1/plan response buffers.
+var planBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePlan writes a served plan: byte for byte what writeJSON writes
+// for res, built by the append encoder around the plan's memoized
+// on/loads fragment instead of by reflection. As with writeJSON, an
+// unencodable plan (a NaN or infinite float) gets the 200 header and an
+// empty body.
+func writePlan(w http.ResponseWriter, res *PlanResult, memo *engine.Memo) {
+	bp := planBufs.Get().(*[]byte)
+	b, err := appendPlanResult((*bp)[:0], res, memo)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		// A broken connection is the client's problem.
+		_, _ = w.Write(b)
+	}
+	*bp = b
+	planBufs.Put(bp)
 }
 
 // handleConsolidate serves the raw consolidation query:
