@@ -39,8 +39,12 @@ import (
 )
 
 // cacheCap bounds the plan cache; beyond it the least-recently-used
-// entries are evicted. Plans are small (two slices of n), so this is a
-// few MB even at datacenter scale.
+// entries are evicted. A cached plan holds two slices of at most n
+// elements (at most 16n bytes: 64 KB at n=4096, 4 MB at n=262144) and,
+// once it has been hit, the wire fragment a serving layer memoizes in
+// its Memo (2–6 bytes a machine for roomapi's JSON: 8–25 KB at n=4096).
+// A full cache is therefore up to ~45 MB at n=4096 but reaches a few GB
+// at n=262144.
 const cacheCap = 512
 
 // HierThreshold is the room size at and above which auto mode serves the
@@ -207,7 +211,9 @@ type Response struct {
 // Memo is an opaque slot a serving layer may fill once with a derived
 // form of one computed plan — roomapi keeps the plan's encoded wire
 // fragment there, so a cached answer is encoded once instead of on
-// every hit. compute creates one per computed Response; Plan copies
+// every hit (it fills the slot on the first hit or coalesced answer,
+// never on a plain miss, so a plan that is never asked for again keeps
+// an empty slot). compute creates one per computed Response; Plan copies
 // Response by value, so every cache hit and coalesced copy of the answer
 // shares it, and it is dropped with its cache entry when an install
 // publishes a new generation. The engine never reads it.

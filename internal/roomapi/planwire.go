@@ -14,11 +14,13 @@ import (
 // dense per-machine loads vector, and encoding/json reflects over it
 // element by element on both ends, so the server encodes PlanResult with
 // an append encoder (memoizing the O(n) part per cached plan) and the
-// client decodes the server's layout without reflection. Neither changes
-// the wire: the encoder writes exactly what
+// decoder parses the server's layout into a fresh PlanResult without
+// reflection. Neither changes the wire: the encoder writes exactly what
 // json.NewEncoder(w).Encode(PlanResult{…}) writes, and the decoder yields
-// exactly what json.Unmarshal does — any body it does not recognize is
-// decoded by encoding/json itself.
+// exactly what json.Unmarshal does — any body it does not recognize, and
+// any destination that already holds slices, is handled by encoding/json
+// itself. The decoder's in-repo callers are the Go clients of /v1/plan:
+// the servebench load generator and the internal/chaos harness.
 
 // errUnsupportedFloat mirrors encoding/json's refusal to encode NaN and
 // ±Inf.
@@ -30,9 +32,12 @@ var errUnsupportedFloat = errors.New("roomapi: unsupported float value (NaN or I
 //
 // memo, when non-nil, is the engine's memo slot for the plan r carries.
 // The "on"/"loads" fragment — the O(n) part — is taken from it when an
-// earlier answer already encoded it, and stored there otherwise, so a
-// cached plan is encoded once; only the scalars and flags, which differ
-// per request, are encoded every time.
+// earlier answer already encoded it, so a cached plan is encoded once;
+// only the scalars and flags, which differ per request, are encoded
+// every time. The fragment is stored only by a cache hit or a coalesced
+// answer (r.Cached or r.Shared): a plain miss encodes straight into b,
+// so traffic whose keys never repeat never copies a fragment into a
+// memo.
 func appendPlanResult(b []byte, r *PlanResult, memo *engine.Memo) ([]byte, error) {
 	b = append(b, `{"epoch":`...)
 	b = strconv.AppendUint(b, r.Epoch, 10)
@@ -47,7 +52,7 @@ func appendPlanResult(b []byte, r *PlanResult, memo *engine.Memo) ([]byte, error
 		if b, err = appendPlanSlices(b, r.On, r.Loads); err != nil {
 			return b, err
 		}
-		if memo != nil {
+		if r.Cached || r.Shared {
 			memo.Store(append([]byte(nil), b[start:]...))
 		}
 	}
@@ -143,46 +148,40 @@ type planResultJSON PlanResult
 
 // UnmarshalJSON decodes a PlanResult. The canonical layout the server
 // writes — fields in declaration order, no whitespace, the zero-valued
-// omitempty fields left out — is parsed without reflection. Any other
-// input (whitespace, reordered, case-folded, unknown or duplicate keys,
-// null, invalid JSON) is decoded by encoding/json. Both paths leave the
-// destination in the same state, to the float bit: fields absent from
-// the body are left untouched, and a slice is truncated to length 0 and
-// appended into, reusing the caller's capacity (an empty array yields a
-// non-nil empty slice, null a nil one). Only where that capacity is too
-// small can the paths differ, in the spare capacity of the new array:
-// the fast path allocates it once at the decoded length, where
-// encoding/json grows it element by element.
+// omitempty fields left out — is parsed without reflection when the
+// destination's slices have no capacity, as in a fresh PlanResult. Every
+// other input (whitespace, reordered, case-folded, unknown or duplicate
+// keys, null, invalid JSON) and every destination whose slices hold
+// capacity is decoded by encoding/json, so its merge semantics into an
+// earlier answer hold by construction. On the fast path, fields absent
+// from the body are left untouched, an empty array yields a non-nil
+// empty slice and null a nil one, just as encoding/json decodes; the
+// slices are allocated once at the decoded length, where encoding/json
+// grows them, so only their capacity can differ. Nothing in r is written
+// until the whole body has parsed, so a body the fast path turns down
+// reaches encoding/json with r untouched.
 func (r *PlanResult) UnmarshalJSON(data []byte) error {
-	// The fast path assigns nothing in r until the whole body has
-	// parsed, but it appends elements straight into r's slice arrays. A
-	// destination with such arrays is therefore validated first, so a
-	// body the fast path turns down halfway reaches encoding/json with r
-	// untouched.
-	reuses := cap(r.On) > 0 || cap(r.Loads) > 0
-	if (!reuses || (&planDecoder{data: data}).run(nil)) && (&planDecoder{data: data}).run(r) {
+	if cap(r.On) == 0 && cap(r.Loads) == 0 && (&planDecoder{data: data}).run(r) {
 		return nil
 	}
 	return json.Unmarshal(data, (*planResultJSON)(r))
 }
 
-// planDecoder parses the canonical /v1/plan layout. With a nil
-// destination it only checks the layout and the JSON number grammar.
-// With a destination it also converts and stores the values, and so can
-// also refuse a float literal outside the float64 range, which
-// encoding/json refuses too.
+// planDecoder parses the canonical /v1/plan layout. Besides the layout
+// and the JSON number grammar it refuses what encoding/json refuses for
+// these fields: an integer outside its field's range and a float literal
+// outside the float64 range.
 type planDecoder struct {
 	data []byte
 	i    int
 }
 
-// run parses the whole body into dst (nil: validate only) and reports
-// whether it had the canonical layout.
+// run parses the whole body and, if it has the canonical layout, stores
+// it in dst and reports true. On false dst is untouched.
 func (d *planDecoder) run(dst *PlanResult) bool {
 	if n := len(d.data); n > 0 && d.data[n-1] == '\n' {
 		d.data = d.data[:n-1] // json.Encoder's terminator
 	}
-	store := dst != nil
 	var (
 		epoch  uint64
 		method int64
@@ -191,16 +190,13 @@ func (d *planDecoder) run(dst *PlanResult) bool {
 		loads  []float64
 		ok     bool
 	)
-	if store {
-		on, loads = dst.On, dst.Loads
-	}
 	if !d.lit(`{"epoch":`) || !d.uintLit(&epoch) || !d.lit(`,"method":`) || !d.intLit(&method) || !d.lit(`,"on":`) {
 		return false
 	}
-	if on, ok = d.ints(store, on); !ok || !d.lit(`,"loads":`) {
+	if on, ok = d.ints(); !ok || !d.lit(`,"loads":`) {
 		return false
 	}
-	if loads, ok = d.floats(store, loads); !ok || !d.lit(`,"tAcC":`) || !d.floatLit(store, &tAcC) {
+	if loads, ok = d.floats(); !ok || !d.lit(`,"tAcC":`) || !d.floatLit(&tAcC) {
 		return false
 	}
 	// The omitempty fields, each optional, in declaration order.
@@ -212,7 +208,7 @@ func (d *planDecoder) run(dst *PlanResult) bool {
 	)
 	for j, key := range [...]string{`,"shedLoad":`, `,"capacity":`} {
 		if d.lit(key) {
-			if !d.floatLit(store, &nums[j]) {
+			if !d.floatLit(&nums[j]) {
 				return false
 			}
 			numSet[j] = true
@@ -233,17 +229,15 @@ func (d *planDecoder) run(dst *PlanResult) bool {
 	if !d.next('}') || d.i != len(d.data) {
 		return false
 	}
-	if store {
-		dst.Epoch, dst.Method, dst.On, dst.Loads, dst.TAcC = epoch, int(method), on, loads, tAcC
-		for j, f := range [...]*float64{&dst.ShedLoad, &dst.Capacity} {
-			if numSet[j] {
-				*f = nums[j]
-			}
+	dst.Epoch, dst.Method, dst.On, dst.Loads, dst.TAcC = epoch, int(method), on, loads, tAcC
+	for j, f := range [...]*float64{&dst.ShedLoad, &dst.Capacity} {
+		if numSet[j] {
+			*f = nums[j]
 		}
-		for j, f := range [...]*bool{&dst.Degraded, &dst.Cached, &dst.Shared, &dst.Hierarchical} {
-			if flagSet[j] {
-				*f = flags[j]
-			}
+	}
+	for j, f := range [...]*bool{&dst.Degraded, &dst.Cached, &dst.Shared, &dst.Hierarchical} {
+		if flagSet[j] {
+			*f = flags[j]
 		}
 	}
 	return true
@@ -309,10 +303,10 @@ func (d *planDecoder) intLit(v *int64) bool {
 	return int64(int(*v)) == *v
 }
 
-// floatLit consumes a JSON number. When parse is set it converts it with
-// strconv.ParseFloat, as encoding/json does, and refuses a literal
-// outside the float64 range.
-func (d *planDecoder) floatLit(parse bool, v *float64) bool {
+// floatLit consumes a JSON number and converts it with
+// strconv.ParseFloat, as encoding/json does, refusing a literal outside
+// the float64 range.
+func (d *planDecoder) floatLit(v *float64) bool {
 	start := d.i
 	if d.i < len(d.data) && d.data[d.i] == '-' {
 		d.i++
@@ -334,9 +328,6 @@ func (d *planDecoder) floatLit(parse bool, v *float64) bool {
 		if !d.someDigits() {
 			return false
 		}
-	}
-	if !parse {
-		return true
 	}
 	f, err := strconv.ParseFloat(string(d.data[start:d.i]), 64)
 	if err != nil {
@@ -365,10 +356,10 @@ func (d *planDecoder) someDigits() bool {
 	return d.i > start
 }
 
-// ints consumes null or an array of integers. Storing, it returns nil
-// for null, a non-nil empty slice for [], and otherwise s[:0] with the
-// elements appended, as encoding/json decodes into a slice.
-func (d *planDecoder) ints(store bool, s []int) ([]int, bool) {
+// ints consumes null or an array of integers: nil for null, a non-nil
+// empty slice for [], and otherwise a new slice of the elements,
+// allocated once at the array's length.
+func (d *planDecoder) ints() ([]int, bool) {
 	if d.lit("null") {
 		return nil, true
 	}
@@ -378,18 +369,13 @@ func (d *planDecoder) ints(store bool, s []int) ([]int, bool) {
 	if d.next(']') {
 		return []int{}, true
 	}
-	s = s[:0]
-	if store {
-		s = reserve(s, d.arrayLen())
-	}
+	s := make([]int, 0, d.arrayLen())
 	for {
 		var v int64
 		if !d.intLit(&v) {
 			return nil, false
 		}
-		if store {
-			s = append(s, int(v))
-		}
+		s = append(s, int(v))
 		if d.next(']') {
 			return s, true
 		}
@@ -409,20 +395,10 @@ func (d *planDecoder) arrayLen() int {
 	return bytes.Count(rest, []byte{','}) + 1
 }
 
-// reserve returns s when it has room for n elements, else an empty
-// slice allocated at that length: one allocation for an array the
-// caller's capacity cannot hold, instead of append's repeated growth.
-func reserve[T int | float64](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s
-}
-
 // floats is ints for an array of numbers. The two stay separate: one
 // generic version taking an element callback decoded a 4096-load body
 // about 20 % slower, the callback being an indirect call per element.
-func (d *planDecoder) floats(store bool, s []float64) ([]float64, bool) {
+func (d *planDecoder) floats() ([]float64, bool) {
 	if d.lit("null") {
 		return nil, true
 	}
@@ -432,18 +408,13 @@ func (d *planDecoder) floats(store bool, s []float64) ([]float64, bool) {
 	if d.next(']') {
 		return []float64{}, true
 	}
-	s = s[:0]
-	if store {
-		s = reserve(s, d.arrayLen())
-	}
+	s := make([]float64, 0, d.arrayLen())
 	for {
 		var v float64
-		if !d.floatLit(store, &v) {
+		if !d.floatLit(&v) {
 			return nil, false
 		}
-		if store {
-			s = append(s, v)
-		}
+		s = append(s, v)
 		if d.next(']') {
 			return s, true
 		}

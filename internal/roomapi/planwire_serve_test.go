@@ -151,8 +151,9 @@ func TestServedPlanBodyMatchesReflection(t *testing.T) {
 	}
 }
 
-// TestPlanMemoFilledOnce checks the handler stores the encoded fragment
-// in the plan's memo on the first answer and serves hits from it.
+// TestPlanMemoFilledOnce checks a plain miss leaves the plan's memo
+// empty, the first cache hit stores the encoded fragment there, and
+// later hits are served from it.
 func TestPlanMemoFilledOnce(t *testing.T) {
 	eng := podEngine(t, 64)
 	srv := planServer(t, eng)
@@ -164,14 +165,18 @@ func TestPlanMemoFilledOnce(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
-	first := get()
+	get()
 	resp, err := eng.Plan(context.Background(), engine.Request{Load: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if frag := resp.Memo.Load(); frag != nil {
+		t.Fatalf("a plain miss stored %q in the memo", frag)
+	}
+	first := get()
 	frag := resp.Memo.Load()
 	if frag == nil {
-		t.Fatal("first answer left the memo empty")
+		t.Fatal("the first hit left the memo empty")
 	}
 	if !bytes.Contains(first, frag) {
 		t.Fatalf("memo %s is not the served fragment of %s", frag, first)

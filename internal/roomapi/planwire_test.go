@@ -120,20 +120,29 @@ func TestAppendPlanResultMatchesEncoder(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encoding of %+v:\n got %s\nwant %s", r, got, want)
 		}
-		// Through a memo: the first answer fills it, a later one with
-		// other flags reuses the fragment.
+		// Through a memo: a plain miss leaves it empty, a hit or a
+		// coalesced answer fills it, and a later answer with other
+		// flags reuses the fragment.
 		memo := new(engine.Memo)
-		again := *r
-		again.Cached, again.Shared = !r.Cached, !r.Shared
-		if got, err := appendPlanResult(nil, r, memo); err != nil || !bytes.Equal(got, want) || memo.Load() == nil {
-			t.Fatalf("memo-filling encode of %+v: %s (%v)", r, got, err)
+		if got, err := appendPlanResult(nil, r, memo); err != nil || !bytes.Equal(got, want) ||
+			(memo.Load() != nil) != (r.Cached || r.Shared) {
+			t.Fatalf("encode of %+v through a memo: %s (%v), memo %q", r, got, err, memo.Load())
 		}
+		hit := *r
+		hit.Cached = true
+		wantHit, _ := reflectEncode(&hit)
+		if got, err := appendPlanResult(nil, &hit, memo); err != nil || !bytes.Equal(got, wantHit) || memo.Load() == nil {
+			t.Fatalf("memo-filling encode of %+v: %s (%v)", hit, got, err)
+		}
+		again := *r
+		again.Cached, again.Shared = false, !r.Shared
 		wantAgain, _ := reflectEncode(&again)
-		if got, err := appendPlanResult(nil, &again, memo); err != nil || !bytes.Equal(got, wantAgain) {
+		got, err = appendPlanResult(nil, &again, memo)
+		if err != nil || !bytes.Equal(got, wantAgain) {
 			t.Fatalf("memoized encode of %+v:\n got %s\nwant %s", again, got, wantAgain)
 		}
 		// The server's own bodies must take the fast decode path.
-		if !(&planDecoder{data: got}).run(nil) {
+		if !(&planDecoder{data: got}).run(&PlanResult{}) {
 			t.Fatalf("canonical body refused by the fast path: %s", got)
 		}
 	}
@@ -193,8 +202,8 @@ func clonePlanResult(r *PlanResult) *PlanResult {
 
 // diffPlanResult compares two decode results to the float bit,
 // including slice nil-ness and whether each result still aliases its
-// caller's original array — in which case the whole backing array,
-// spare capacity included, must match too.
+// caller's original array. The two callers' original backing arrays are
+// compared in full, spare capacity included, whatever the aliasing.
 func diffPlanResult(got, want, gotOrig, wantOrig *PlanResult) string {
 	if got.Epoch != want.Epoch || got.Method != want.Method ||
 		got.Degraded != want.Degraded || got.Cached != want.Cached ||
@@ -206,37 +215,31 @@ func diffPlanResult(got, want, gotOrig, wantOrig *PlanResult) string {
 			return fmt.Sprintf("float scalars: got %+v want %+v", *got, *want)
 		}
 	}
-	if (got.On == nil) != (want.On == nil) || len(got.On) != len(want.On) {
-		return fmt.Sprintf("on header: got %v (nil %t) want %v (nil %t)", got.On, got.On == nil, want.On, want.On == nil)
+	if d := diffSlice("on", got.On, want.On, gotOrig.On, wantOrig.On, func(v int) uint64 { return uint64(v) }); d != "" {
+		return d
 	}
-	aliased := sameArray(want.On, wantOrig.On)
-	if sameArray(got.On, gotOrig.On) != aliased {
-		return "on: aliasing of the caller's array differs"
+	return diffSlice("loads", got.Loads, want.Loads, gotOrig.Loads, wantOrig.Loads, math.Float64bits)
+}
+
+// diffSlice is diffPlanResult for one slice field, comparing elements
+// by their bits.
+func diffSlice[T any](name string, got, want, gotOrig, wantOrig []T, bits func(T) uint64) string {
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		return fmt.Sprintf("%s header: got len %d nil %t, want len %d nil %t",
+			name, len(got), got == nil, len(want), want == nil)
 	}
-	g, w := got.On, want.On
-	if aliased {
-		g, w = g[:cap(g)], w[:cap(w)]
+	if sameArray(got, gotOrig) != sameArray(want, wantOrig) {
+		return name + ": aliasing of the caller's array differs"
 	}
-	for i := range g {
-		if g[i] != w[i] {
-			return fmt.Sprintf("on array differs at %d: got %v want %v", i, g, w)
+	for i := range got {
+		if bits(got[i]) != bits(want[i]) {
+			return fmt.Sprintf("%s differs at %d: got %v want %v", name, i, got[i], want[i])
 		}
 	}
-	if (got.Loads == nil) != (want.Loads == nil) || len(got.Loads) != len(want.Loads) {
-		return fmt.Sprintf("loads header: got len %d nil %t, want len %d nil %t",
-			len(got.Loads), got.Loads == nil, len(want.Loads), want.Loads == nil)
-	}
-	aliased = sameArray(want.Loads, wantOrig.Loads)
-	if sameArray(got.Loads, gotOrig.Loads) != aliased {
-		return "loads: aliasing of the caller's array differs"
-	}
-	gl, wl := got.Loads, want.Loads
-	if aliased {
-		gl, wl = gl[:cap(gl)], wl[:cap(wl)]
-	}
-	for i := range gl {
-		if math.Float64bits(gl[i]) != math.Float64bits(wl[i]) {
-			return fmt.Sprintf("loads array differs at %d: got %v want %v", i, gl[i], wl[i])
+	g, w := gotOrig[:cap(gotOrig)], wantOrig[:cap(wantOrig)]
+	for i := range g {
+		if bits(g[i]) != bits(w[i]) {
+			return fmt.Sprintf("%s: the caller's original array differs at %d: got %v want %v", name, i, g[i], w[i])
 		}
 	}
 	return ""
@@ -407,7 +410,7 @@ func FuzzPlanResultWire(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encode of %+v:\n got %s\nwant %s", r, got, want)
 		}
-		if !(&planDecoder{data: got}).run(nil) {
+		if !(&planDecoder{data: got}).run(&PlanResult{}) {
 			t.Fatalf("canonical body refused by the fast path: %s", got)
 		}
 		for _, dst := range decodeDestinations() {
